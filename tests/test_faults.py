@@ -478,7 +478,7 @@ class TestFaultSpecs:
 # --------------------------------------------------------------------------- #
 
 
-def _run_faulty(engine, fault_models, retry=None, fault_seed=5):
+def _run_faulty(engine, fault_models, retry=None, fault_seed=5, **politeness):
     web = generate_web(WEB_CONFIG)
     crawler = IncrementalCrawler(
         web,
@@ -491,17 +491,35 @@ def _run_faulty(engine, fault_models, retry=None, fault_seed=5):
             fault_models=fault_models,
             fault_seed=fault_seed,
             retry=retry,
+            **politeness,
         ),
     )
     result = crawler.run(12.0)
     return result, crawler
 
 
+#: Politeness settings the full-weather parity runs are crossed with: none,
+#: and the paper's 10 s per-site delay plus the 9 pm-6 am night window.
+POLITENESS_CASES = {
+    "no-politeness": {},
+    "polite": {
+        "use_politeness": True,
+        "politeness_min_delay_seconds": 10.0,
+        "politeness_night_window": True,
+    },
+}
+
+
 class TestEngineParityUnderFaults:
-    def test_batched_matches_reference_under_full_weather(self):
+    @pytest.mark.parametrize(
+        "politeness", list(POLITENESS_CASES.values()), ids=list(POLITENESS_CASES)
+    )
+    def test_batched_matches_reference_under_full_weather(self, politeness):
         retry = RetryPolicy(max_attempts=3, breaker_threshold=4)
-        batched, crawler_b = _run_faulty("batched", FAULT_MODELS, retry)
-        reference, crawler_r = _run_faulty("reference", FAULT_MODELS, retry)
+        batched, crawler_b = _run_faulty("batched", FAULT_MODELS, retry, **politeness)
+        reference, crawler_r = _run_faulty(
+            "reference", FAULT_MODELS, retry, **politeness
+        )
         assert batched.pages_crawled == reference.pages_crawled
         assert batched.pages_failed == reference.pages_failed
         assert batched.changes_detected == reference.changes_detected
@@ -510,6 +528,19 @@ class TestEngineParityUnderFaults:
         counters = crawler_b.failure_counters()
         assert counters == crawler_r.failure_counters()
         assert sum(counters.values()) > 0  # the weather actually blew
+        assert (
+            crawler_b.update_module.estimated_rates()
+            == crawler_r.update_module.estimated_rates()
+        )
+        records_b = {
+            r.url: (r.fetched_at, r.visit_count, r.change_count)
+            for r in crawler_b.collection.current_records()
+        }
+        records_r = {
+            r.url: (r.fetched_at, r.visit_count, r.change_count)
+            for r in crawler_r.collection.current_records()
+        }
+        assert records_b == records_r
 
     def test_zero_rate_faults_are_bit_identical_to_no_faults(self):
         zero = tuple((kind, {**params, "rate": 0.0}) for kind, params in FAULT_MODELS)
