@@ -27,14 +27,18 @@ Two execution engines drive the same architecture:
   replicating the event queue's ``(time, sequence)`` ordering exactly;
 * the **reference** engine processes one event per fetched page, exactly
   as Figure 12 describes the per-URL control flow. It is pinned by the
-  parity suite (``tests/test_crawler_batched_parity.py``): both engines
-  produce bit-identical counters and freshness/quality series.
+  parity suites (``tests/test_crawler_batched_parity.py``,
+  ``tests/test_faults.py``): both engines produce bit-identical counters
+  and freshness/quality series.
 
-Politeness (the paper's 10-second per-site delay and 9PM-6AM crawl
-window, Section 2.3) runs on the batched engine too: per-site delays
-resolve in bulk through the politeness batch API, with per-site last-fetch
-state carried across tick windows, and remain bit-identical to the
-reference engine's per-fetch resolution.
+The batched engine has one loop driver for every configuration.
+:meth:`UpdateModule.process_slots` runs each candidate run of queue
+entries through one prediction pipeline — politeness (the paper's
+10-second per-site delay and 9PM-6AM crawl window, Section 2.3) and
+fault statuses resolve in bulk, each stage only when its layer is
+configured — and cuts the run at an overtaking reschedule, a
+reallocation trigger, or an entry that needs retry or circuit-breaker
+state, which it handles alone exactly as the reference engine would.
 """
 
 from __future__ import annotations
@@ -118,10 +122,11 @@ class IncrementalCrawlerConfig:
             :data:`repro.api.registry.FAULT_MODELS`. ``None`` (the
             default) runs the pre-fault fetch path byte for byte.
         fault_seed: Seed of the fault layer and retry jitter.
-        retry: Optional :class:`repro.faults.RetryPolicy` for the
-            failure-aware engine. Defaults apply when ``fault_models`` is
-            set without an explicit policy; setting ``retry`` alone arms
-            the failure-aware engine without injecting faults.
+        retry: Optional :class:`repro.faults.RetryPolicy` for failed
+            fetches (retry backoff and circuit breakers). Defaults apply
+            when ``fault_models`` is set without an explicit policy;
+            setting ``retry`` alone arms the failure tracker without
+            injecting faults.
     """
 
     collection_capacity: int = 500
@@ -258,6 +263,11 @@ class IncrementalCrawler:
             slice (``ShardedCrawler`` passes a per-shard config). ``None``
             — the default — is the unsharded crawler, byte-for-byte the
             pre-shard behaviour.
+
+    Politeness, fault injection and the retry policy are layers of the one
+    fetcher and update module the crawler builds; both engines honour any
+    combination of them with bit-identical results (see
+    :meth:`UpdateModule.process_slots` for how the batched engine does).
     """
 
     def __init__(

@@ -17,7 +17,7 @@ more frequent visits than their change rate alone would justify).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import AbstractSet, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,12 +27,10 @@ from repro.core.crawl_module import BatchCrawlOutcome, CrawlModule, CrawlOutcome
 from repro.estimation.change_history import ChangeHistory
 from repro.estimation.rate_estimators import ChangeRateEstimator, build_rate_estimator
 from repro.faults import (
-    STATUS_NOT_FOUND,
     STATUS_OK,
     STATUS_RATE_LIMITED,
     STATUS_SOFT_404,
     STATUS_TIMEOUT,
-    TRANSIENT_CODES,
     FailureTracker,
 )
 from repro.fetch.fetcher import STATUS_TO_CODE, FetchStatus
@@ -96,8 +94,9 @@ class UpdateModule:
         revisit_policy: Policy mapping estimated rates to revisit intervals;
             defaults to the uniform (fixed-frequency) policy.
         failure_tracker: Optional retry/circuit-breaker state for
-            failure-aware crawling. ``None`` (the default) keeps every code
-            path byte-identical to the fault-free engine.
+            failure-aware crawling. It is consulted only while the fetcher's
+            fault layer has active status models; ``None`` (the default)
+            keeps every code path byte-identical to the fault-free engine.
     """
 
     def __init__(
@@ -207,59 +206,93 @@ class UpdateModule:
         Exactly equivalent to calling :meth:`process_next` once per slot
         time, in order — including the subtle cases: a page rescheduled
         early enough to be popped *again* within the same window, the head
-        of the queue changing between slots, and a revisit-interval
-        reallocation falling due mid-window.
+        of the queue changing between slots, a revisit-interval
+        reallocation falling due mid-window, politeness pushing a fetch past
+        its slot, and retry or circuit-breaker state changing the schedule.
 
         The trick is that the *queue dynamics* of a window are decidable
-        without fetching anything: whether a fetch succeeds is an oracle
-        existence test, and a successful fetch reschedules its page at
-        ``completed + interval`` where the interval table is frozen between
-        reallocations. So the window is driven in two phases. Phase one
-        replays the pop/reschedule sequence against the real queue in bulk
-        rounds — :meth:`~repro.core.collurls.CollUrls.pop_due` pops a run,
-        a scan cuts it at the first entry that an earlier reschedule would
-        overtake (ties go to the older sequence number), the tail is
-        :meth:`~repro.core.collurls.CollUrls.restore`-d untouched, and the
-        round's reschedules land through one
-        :meth:`~repro.core.collurls.CollUrls.schedule_many` call, giving
-        every entry the exact sequence number the per-event engine would
-        have assigned. Phase two hands the accumulated ``(url, slot)``
-        assignments — typically a whole tick window — to one
-        :meth:`process_batch` call for the batched fetch/observe/estimate
-        pipeline. Reallocation boundaries interrupt both phases: the
-        triggering entry runs as a single-entry batch because the
-        reallocation must see exactly the observations made before it and
-        its reschedule uses the post-reallocation intervals.
+        without fetching anything: politeness delays, fault statuses and
+        latency factors resolve before the fetch (faults are pure functions
+        of ``(url, site, slot_time, seed)``), success is an oracle existence
+        test, and a successful fetch reschedules its page at ``completed +
+        interval`` where the interval table is frozen between
+        reallocations. So the window is driven in two phases.
+
+        Phase one replays the pop/reschedule sequence against the real
+        queue, one candidate run at a time. A run serves the queue head
+        unconditionally (a crawl slot crawls the earliest entry even when
+        it is scheduled in the future), then extends with
+        :meth:`~repro.core.collurls.CollUrls.pop_due` bounded by the
+        earliest reschedule produced so far. Every popped chunk goes
+        through one prediction pipeline: start instants (the slot times,
+        or :meth:`~repro.fetch.politeness.PolitenessPolicy.earliest_allowed_many_indexed`
+        with politeness), fault statuses and latency factors
+        (:meth:`~repro.faults.FaultLayer.resolve` and
+        :meth:`~repro.faults.FaultLayer.latency_factors` on the slot times,
+        when the fault layer has active models), breaker quarantines
+        (:meth:`~repro.faults.FailureTracker.quarantined_many`), then one
+        scan that tests existence at the start instant and predicts each
+        completion and reschedule. A stage whose layer the fetcher lacks is
+        skipped. The scan cuts the run at the first entry that
+
+        * is overtaken by an earlier reschedule of the run (ties go to the
+          older sequence number): it and the rest of its chunk are
+          :meth:`~repro.core.collurls.CollUrls.restore`-d untouched and
+          the run ends;
+        * is a successful fetch that passes the reallocation threshold: the
+          rest of its chunk is restored (the reallocation reads the queue),
+          the pending batch is flushed (it must see those observations), the
+          entry runs as a single-entry batch so its reschedule uses the new
+          intervals, and the run ends; or
+        * needs tracker state — its site is quarantined at its slot, or its
+          fetch fails transiently (timeout, 5xx, 429 or soft-404): it is
+          handled alone through the same scalar ``defer`` / ``on_failure``
+          calls :meth:`process_next` makes, and the run goes on with the
+          rest of its chunk, whose politeness and quarantine stages resolve
+          again against the new state. A deferred slot records no
+          politeness request and is not processed; a failed fetch records
+          its request and joins the batch.
+
+        Inside an accepted prefix no tracker answer can change: it holds
+        only successes and missing pages, neither trips a breaker, and a
+        success lifts only a breaker already expired at its slot (an open
+        one would have quarantined it), hence at every later slot too. So
+        the prefix commits in fetch order — its politeness requests and
+        ``on_success`` for its successes — and the run's reschedules land
+        through one :meth:`~repro.core.collurls.CollUrls.schedule_many`
+        call before anything else is scheduled, giving every entry the
+        exact sequence number the per-event engine would have assigned.
+
+        Phase two hands the accumulated ``(url, slot)`` assignments —
+        typically a whole tick window — to one :meth:`process_batch` call
+        for the batched fetch/observe/estimate pipeline.
 
         Args:
             slot_times: Virtual times of the crawl slots, ascending.
 
         Returns:
             Number of pages processed (slots with an empty queue are idle,
-            exactly like ``process_next`` returning ``None``).
+            exactly like ``process_next`` returning ``None``; slots spent on
+            a quarantined site are not counted either).
         """
-        if self.failure_tracker is not None:
-            # The failure-aware path is only needed when faults can actually
-            # fire: without active status or latency models no transient
-            # status and no breaker state can ever arise, so the plain (or
-            # polite) engine is bit-identical — and pays nothing for the
-            # armed tracker. This is what keeps a zero-rate fault layer
-            # byte-for-byte equal to no fault layer at all.
-            faults = self._crawl_module.fetcher.faults
-            if faults is not None and (
-                faults.has_status_models or faults.has_latency_models
-            ):
-                return self._process_slots_faulty(slot_times, self.failure_tracker)
-        politeness = self._crawl_module.fetcher.politeness
-        if politeness is not None:
-            return self._process_slots_polite(slot_times, politeness)
         fetcher = self._crawl_module.fetcher
+        politeness = fetcher.politeness
+        faults = fetcher.faults
+        status_faults = faults if faults is not None and faults.has_status_models else None
+        latency_faults = faults if faults is not None and faults.has_latency_models else None
+        # Without status models no transient status can arise, so the
+        # tracker never holds state and every consult would be a no-op.
+        tracker = self.failure_tracker if status_faults is not None else None
         latency = fetcher.latency_days
         web = fetcher.web
         horizon = web.horizon_days
         realloc_interval = self._config.reallocation_interval_days
+        default_interval = self._config.default_interval_days
         arrays = web.oracle_arrays()
-        page_index = arrays.index
+        index_get = arrays.index.get
+        site_table = arrays.site_ids
+        site_index = arrays.site_index
+        site_names = arrays.site_names
         # Plain lists: element access on NumPy arrays boxes a scalar per
         # read, which adds up over hundreds of thousands of slots. The
         # conversion is cached per OracleArrays instance (rebuilt with it
@@ -270,545 +303,213 @@ class UpdateModule:
             self._existence_cache = cache
         created = cache[1]
         deleted = cache[2]
+        collurls = self._collurls
+        pop_due = collurls.pop_due
+        n_slots = len(slot_times)
 
         pending_urls: List[str] = []
         pending_times: List[float] = []
+        pending_starts: List[float] = []
+        # Positions in the pending batch whose transient failure already
+        # has its retry scheduled.
+        retried: set = set()
 
         def flush() -> None:
             if pending_urls:
-                self.process_batch(pending_urls, pending_times, reschedule=False)
+                self.process_batch(
+                    pending_urls,
+                    pending_times,
+                    reschedule=False,
+                    resolved_at=pending_starts if politeness is not None else None,
+                    retried=retried,
+                )
                 pending_urls.clear()
                 pending_times.clear()
+                pending_starts.clear()
+                retried.clear()
 
-        default_interval = self._config.default_interval_days
+        def resolve_pure(chunk: list, first_slot: int) -> list:
+            # The stages that are pure functions of (url, slot): columns
+            # aligned with the chunk, sliced rather than recomputed when an
+            # entry of the chunk is handled alone.
+            urls = [entry[2] for entry in chunk]
+            slots = slot_times[first_slot : first_slot + len(chunk)]
+            ids = [index_get(url, -1) for url in urls]
+            site_idx = sites = codes = retry_after = latencies = None
+            if politeness is not None:
+                ids_arr = np.array(ids, dtype=np.int64)
+                site_idx = np.where(ids_arr >= 0, site_index[np.maximum(ids_arr, 0)], -1)
+            if latency_faults is not None:
+                latencies = (latency * latency_faults.latency_factors(slots)).tolist()
+            if status_faults is not None:
+                sites = [site_table[page_id] if page_id >= 0 else None for page_id in ids]
+                codes_arr, retry_arr = status_faults.resolve(urls, sites, slots)
+                codes = codes_arr.tolist()
+                retry_after = retry_arr.tolist()
+            return [urls, slots, ids, site_idx, sites, codes, retry_after, latencies]
+
         processed = 0
         slot_index = 0
-        n_slots = len(slot_times)
-        queue_empty = False
-        while slot_index < n_slots and not queue_empty:
-            last = self._last_reallocation
-            # Re-read after every region: a reallocation rebinds the dict.
-            intervals = self._intervals
-            if last is None:
-                boundary = slot_index
-            else:
-                # First slot whose completion would trigger a reallocation;
-                # scanned once per reallocation region (linear overall).
-                threshold = last + realloc_interval
-                boundary = slot_index
-                while (
-                    boundary < n_slots
-                    and min(slot_times[boundary] + latency, horizon) < threshold
-                ):
-                    boundary += 1
-            if boundary == slot_index:
-                # Reallocation due: flush the window so far (the trigger
-                # must observe those visits' rate estimates), then process
-                # the triggering entry on its own.
-                flush()
-                head = self._collurls.pop()
-                if head is None:
-                    break
-                self.process_batch([head[0]], [slot_times[slot_index]])
-                processed += 1
-                slot_index += 1
-                continue
-            index_get = page_index.get
-            intervals_get = intervals.get
-            append_url = pending_urls.append
-            append_time = pending_times.append
-            pop_due = self._collurls.pop_due
-            while slot_index < boundary:
-                # Serve the head unconditionally (a crawl slot crawls the
-                # earliest entry even when it is scheduled in the future),
-                # then extend the run with pops bounded by the earliest
-                # reschedule produced so far: an entry scheduled later than
-                # that would be overtaken in the queue, ending the run.
-                entries = pop_due(max_n=1)
-                if not entries:
-                    # Empty queue: every remaining slot is a no-op (only
-                    # processing pushes entries back, and none is running).
-                    queue_empty = True
-                    break
-                cut = 0
-                earliest_reschedule = float("inf")
-                reschedule_urls: List[str] = []
-                reschedule_times: List[float] = []
-                j = 0
-                while True:
-                    scheduled_time = entries[j][0]
-                    if scheduled_time > earliest_reschedule:
+        while slot_index < n_slots:
+            chunk = pop_due(max_n=1)
+            if not chunk:
+                # Empty queue: every remaining slot is a no-op (only
+                # processing pushes entries back, and none is running).
+                break
+            columns = resolve_pure(chunk, slot_index)
+            earliest_reschedule = float("inf")
+            # The run's predicted reschedules, committed in fetch order
+            # when the run ends or before anything else is scheduled.
+            reschedule_urls: List[str] = []
+            reschedule_times: List[float] = []
+            while True:
+                urls, slots, ids, site_idx, sites, codes, retry_after, latencies = columns
+                m = len(chunk)
+                # The stages that read mutable state, resolved against the
+                # state left by everything handled so far.
+                starts = slots
+                if politeness is not None:
+                    starts_arr = politeness.earliest_allowed_many_indexed(
+                        site_idx, site_names, slots
+                    )
+                    starts = starts_arr.tolist()
+                quarantined = None
+                if tracker is not None:
+                    quarantined = tracker.quarantined_many(sites, slots)
+
+                last = self._last_reallocation
+                intervals_get = self._intervals.get
+                first_success = len(reschedule_urls)
+                cut = m
+                overtaken = False
+                status = STATUS_OK
+                completed = 0.0
+                for j in range(m):
+                    if chunk[j][0] > earliest_reschedule:
                         # An earlier reschedule overtakes this entry (ties
-                        # go to the older sequence number): end the run and
-                        # put the tail back untouched.
-                        self._collurls.restore(entries[j:])
+                        # go to the older sequence number).
+                        cut = j
+                        overtaken = True
                         break
-                    url = entries[j][2]
-                    slot_j = slot_times[slot_index + j]
-                    page_id = index_get(url, -1)
-                    snapshot_time = slot_j if slot_j < horizon else horizon
-                    if (
-                        page_id >= 0
-                        and created[page_id] <= snapshot_time < deleted[page_id]
-                    ):
+                    if quarantined is not None and quarantined[j]:
+                        cut = j
+                        break
+                    page_id = ids[j]
+                    start = starts[j]
+                    completed = start + (latency if latencies is None else latencies[j])
+                    if completed > horizon:
+                        completed = horizon
+                    snapshot_time = start if start < horizon else horizon
+                    ok = page_id >= 0 and created[page_id] <= snapshot_time < deleted[page_id]
+                    if codes is not None and page_id >= 0:
+                        code = codes[j]
+                        if STATUS_TIMEOUT <= code <= STATUS_RATE_LIMITED or (
+                            ok and code == STATUS_SOFT_404
+                        ):
+                            # Transient failure: no observation, and the
+                            # retry decision is tracker state.
+                            if tracker is not None:
+                                status = code
+                                cut = j
+                                break
+                            ok = False
+                    if ok:
+                        if last is None or completed - last >= realloc_interval:
+                            # Reallocation boundary (only successful
+                            # fetches can trigger one).
+                            cut = j
+                            break
                         # The fetch will succeed: its reschedule is frozen
                         # arithmetic. Failed fetches reschedule nothing, so
                         # they never tighten the run bound.
-                        completed_j = slot_j + latency
-                        if completed_j > horizon:
-                            completed_j = horizon
+                        url = urls[j]
                         interval = intervals_get(url)
                         if interval is None or interval <= 0:
                             interval = default_interval
-                        next_visit = completed_j + interval
+                        next_visit = completed + interval
                         reschedule_urls.append(url)
                         reschedule_times.append(next_visit)
                         if next_visit < earliest_reschedule:
                             earliest_reschedule = next_visit
-                    append_url(url)
-                    append_time(slot_j)
-                    cut = j = j + 1
-                    if j == len(entries):
-                        remaining = boundary - slot_index - j
-                        if remaining <= 0:
-                            break
-                        more = pop_due(until=earliest_reschedule, max_n=remaining)
-                        if not more:
-                            break
-                        entries.extend(more)
-                self._collurls.schedule_many(reschedule_urls, reschedule_times)
-                processed += cut
-                slot_index += cut
-        flush()
-        return processed
 
-    def _process_slots_faulty(
-        self, slot_times: Sequence[float], tracker: FailureTracker
-    ) -> int:
-        """Failure-aware variant of :meth:`process_slots`.
-
-        With a :class:`~repro.faults.FailureTracker` configured the queue
-        dynamics depend on stateful per-fetch decisions (retry backoff,
-        circuit breakers), so phase one runs fully scalar: each slot pops
-        the queue head, predicts the fetch's status — faults are pure
-        functions of ``(url, site, slot_time, seed)`` and success is an
-        oracle existence test, so the prediction equals what the batched
-        fetch will resolve — mutates the tracker exactly once, and commits
-        its reschedule (next visit, retry backoff or breaker probe)
-        immediately. That consumes CollUrls sequence numbers in exact fetch
-        order, so the queue is reference-like at every pop and no overtake
-        machinery is needed. Phase two still resolves the accumulated
-        fetches through one :meth:`process_batch` call per region; the
-        frozen per-entry decisions ride along so the tracker is never
-        consulted twice.
-
-        Reallocation boundaries match :meth:`process_next`: only a
-        *successful* fetch can trigger one, the trigger flushes the pending
-        batch first (the reallocation must see those observations), and the
-        triggering entry runs as a single-entry batch so its reschedule
-        uses the post-reallocation intervals.
-        """
-        fetcher = self._crawl_module.fetcher
-        politeness = fetcher.politeness
-        faults = fetcher.faults
-        latency = fetcher.latency_days
-        web = fetcher.web
-        horizon = web.horizon_days
-        realloc_interval = self._config.reallocation_interval_days
-        arrays = web.oracle_arrays()
-        page_index = arrays.index
-        site_table = arrays.site_ids
-        cache = self._existence_cache
-        if cache is None or cache[0] is not arrays:
-            cache = (arrays, arrays.created.tolist(), arrays.deleted.tolist())
-            self._existence_cache = cache
-        created = cache[1]
-        deleted = cache[2]
-        default_interval = self._config.default_interval_days
-        has_status = faults is not None and faults.has_status_models
-        has_latency = faults is not None and faults.has_latency_models
-        use_starts = politeness is not None
-
-        pending_urls: List[str] = []
-        pending_times: List[float] = []
-        pending_starts: List[float] = []
-        pending_decisions: List[tuple] = []
-
-        def flush() -> None:
-            if pending_urls:
-                self.process_batch(
-                    pending_urls,
-                    pending_times,
-                    reschedule=False,
-                    resolved_at=pending_starts if use_starts else None,
-                    failure_decisions=pending_decisions,
-                )
-                pending_urls.clear()
-                pending_times.clear()
-                pending_starts.clear()
-                pending_decisions.clear()
-
-        processed = 0
-        slot_index = 0
-        n_slots = len(slot_times)
-        while slot_index < n_slots:
-            at = slot_times[slot_index]
-            head = self._collurls.pop()
-            if head is None:
-                # Empty queue: every remaining slot is a no-op.
-                break
-            url = head[0]
-            page_id = page_index.get(url, -1)
-            site = site_table[page_id] if page_id >= 0 else None
-            if tracker.quarantined(site, at):
-                self._collurls.schedule(url, tracker.defer(url, site, at))
-                slot_index += 1
-                continue
-            if politeness is not None and site is not None:
-                start = politeness.earliest_allowed(site, at)
-                politeness.record_request(site, start)
-            else:
-                start = at
-            slot_latency = latency
-            if has_latency:
-                slot_latency = latency * faults.latency_factor_one(at)
-            completed = start + slot_latency
-            if completed > horizon:
-                completed = horizon
-            code = STATUS_OK
-            retry_after = 0.0
-            if has_status and page_id >= 0:
-                code, retry_after = faults.resolve_one(url, site, at)
-            if STATUS_TIMEOUT <= code <= STATUS_RATE_LIMITED:
-                status = code
-            else:
-                snapshot_time = start if start < horizon else horizon
-                alive = (
-                    page_id >= 0
-                    and created[page_id] <= snapshot_time < deleted[page_id]
-                )
-                if not alive:
-                    status = STATUS_NOT_FOUND
-                elif code == STATUS_SOFT_404:
-                    status = STATUS_SOFT_404
-                else:
-                    status = STATUS_OK
-            if status == STATUS_OK:
-                tracker.on_success(url, site)
-                last = self._last_reallocation
-                if last is None or completed - last >= realloc_interval:
-                    # Reallocation boundary (only successful fetches can
-                    # trigger one, like process_next's early return).
-                    flush()
-                    self.process_batch(
-                        [url],
-                        [at],
-                        resolved_at=[start] if use_starts else None,
-                        failure_decisions=[("ok",)],
-                    )
-                    processed += 1
-                    slot_index += 1
-                    continue
-                interval = self._intervals.get(url)
-                if interval is None or interval <= 0:
-                    interval = default_interval
-                self._collurls.schedule(url, completed + interval)
-                decision = ("ok",)
-            elif status == STATUS_NOT_FOUND:
-                decision = ("gone",)
-            else:
-                retry_at = tracker.on_failure(
-                    url, site, status, completed, retry_after
-                )
-                if retry_at is not None:
-                    self._collurls.schedule(url, retry_at)
-                    decision = ("retry", retry_at)
-                else:
-                    decision = ("drop",)
-            pending_urls.append(url)
-            pending_times.append(at)
-            pending_starts.append(start)
-            pending_decisions.append(decision)
-            processed += 1
-            slot_index += 1
-        flush()
-        return processed
-
-    def _process_slots_polite(self, slot_times: Sequence[float], politeness) -> int:
-        """Politeness-aware variant of :meth:`process_slots`.
-
-        Politeness shifts every fetch instant by per-site state, which
-        breaks the plain engine's core shortcut: completion times are no
-        longer monotone in pop order (a night-window snap can push one
-        fetch days past its slot), so reallocation boundaries cannot be
-        located by scanning slot times up front. Instead each round pops an
-        optimistic candidate run, resolves the whole run's politeness in
-        one batched peek (:meth:`PolitenessPolicy.earliest_allowed_many`,
-        bit-identical to the sequential recurrence), predicts per-entry
-        completions and reschedules with the frozen interval table, and
-        cuts the run at the first entry that either
-
-        * would be overtaken in the queue by an earlier reschedule of this
-          round (ties go to the older sequence number, as in the plain
-          engine), or
-        * completes past the reallocation threshold — failed fetches never
-          trigger a reallocation, matching :meth:`process_next`'s early
-          return.
-
-        The accepted prefix commits its politeness state
-        (:meth:`PolitenessPolicy.record_requests`) and its reschedules, and
-        joins the pending fetch batch with its resolved start instants; the
-        tail is :meth:`~repro.core.collurls.CollUrls.restore`-d untouched
-        and re-popped next round. A reallocation trigger flushes the
-        pending batch and runs the triggering entry alone, exactly like the
-        plain engine. Failed fetches still advance the per-site politeness
-        state — the scalar fetch path records the request before it learns
-        the page is gone.
-
-        Like the plain engine, each round serves the queue head
-        unconditionally and then extends with pops bounded by the earliest
-        reschedule produced so far (``pop_due(until=...)``), so entries
-        that an earlier reschedule would overtake are mostly never popped
-        at all; the batched politeness peek runs once per extension chunk,
-        not per entry.
-        """
-        fetcher = self._crawl_module.fetcher
-        latency = fetcher.latency_days
-        web = fetcher.web
-        horizon = web.horizon_days
-        realloc_interval = self._config.reallocation_interval_days
-        arrays = web.oracle_arrays()
-        page_index = arrays.index
-        site_table = arrays.site_ids
-        site_index_table = arrays.site_index
-        site_names = arrays.site_names
-        created = arrays.created
-        deleted = arrays.deleted
-        # Plain-list existence columns for the scalar single-entry path
-        # (shared with the plain engine's cache; see process_slots).
-        cache = self._existence_cache
-        if cache is None or cache[0] is not arrays:
-            cache = (arrays, arrays.created.tolist(), arrays.deleted.tolist())
-            self._existence_cache = cache
-        created_list = cache[1]
-        deleted_list = cache[2]
-        default_interval = self._config.default_interval_days
-
-        pending_urls: List[str] = []
-        pending_times: List[float] = []
-        pending_starts: List[float] = []
-
-        def flush() -> None:
-            if pending_urls:
-                self.process_batch(
-                    pending_urls,
-                    pending_times,
-                    reschedule=False,
-                    resolved_at=pending_starts,
-                )
-                pending_urls.clear()
-                pending_times.clear()
-                pending_starts.clear()
-
-        processed = 0
-        slot_index = 0
-        n_slots = len(slot_times)
-        while slot_index < n_slots:
-            if self._last_reallocation is None:
-                # The first stored completion reallocates, whatever it is:
-                # single-step with the scalar politeness resolution until
-                # the first region boundary exists.
-                flush()
-                head = self._collurls.pop()
-                if head is None:
-                    break
-                url = head[0]
-                at = slot_times[slot_index]
-                page_id = page_index.get(url, -1)
-                if page_id >= 0:
-                    site_id = site_table[page_id]
-                    start = politeness.earliest_allowed(site_id, at)
-                    politeness.record_request(site_id, start)
-                else:
-                    start = at
-                self.process_batch([url], [at], resolved_at=[start])
-                processed += 1
-                slot_index += 1
-                continue
-            # One round: serve the queue head unconditionally (a crawl slot
-            # crawls the earliest entry even when scheduled in the future),
-            # then extend with chunks bounded by the earliest reschedule.
-            chunk = self._collurls.pop_due(max_n=1)
-            if not chunk:
-                # Empty queue: every remaining slot is a no-op.
-                break
-            earliest_reschedule = float("inf")
-            intervals_get = self._intervals.get
-            while chunk:
-                m = len(chunk)
-                if m == 1:
-                    # Scalar fast path: every round starts with a
-                    # single-entry head pop, and one entry has no
-                    # intra-chunk politeness dependencies, so the scalar
-                    # resolution (the identical float operations) applies
-                    # directly and the NumPy fixed costs are skipped.
-                    entry = chunk[0]
-                    url = entry[2]
-                    slot = slot_times[slot_index]
-                    page_id = page_index.get(url, -1)
-                    if page_id >= 0:
-                        site_id = site_table[page_id]
-                        start = politeness.earliest_allowed(site_id, slot)
-                    else:
-                        site_id = None
-                        start = slot
-                    if entry[0] > earliest_reschedule:
-                        self._collurls.restore(chunk)
-                        break
-                    snapshot_time = start if start < horizon else horizon
-                    ok_head = (
-                        page_id >= 0
-                        and created_list[page_id]
-                        <= snapshot_time
-                        < deleted_list[page_id]
-                    )
-                    completed_head = start + latency
-                    if completed_head > horizon:
-                        completed_head = horizon
-                    if site_id is not None:
-                        politeness.record_request(site_id, start)
-                    if ok_head and not (
-                        completed_head - self._last_reallocation < realloc_interval
-                    ):
-                        # Reallocation boundary.
-                        flush()
-                        self.process_batch([url], [slot], resolved_at=[start])
-                        processed += 1
-                        slot_index += 1
-                        break
-                    if ok_head:
-                        interval = intervals_get(url)
-                        if interval is None or interval <= 0:
-                            interval = default_interval
-                        next_visit_head = completed_head + interval
-                        self._collurls.schedule(url, next_visit_head)
-                        if next_visit_head < earliest_reschedule:
-                            earliest_reschedule = next_visit_head
-                    pending_urls.append(url)
-                    pending_times.append(slot)
-                    pending_starts.append(start)
-                    processed += 1
-                    slot_index += 1
-                    remaining = n_slots - slot_index
-                    if remaining <= 0:
-                        break
-                    chunk = self._collurls.pop_due(
-                        until=earliest_reschedule, max_n=remaining
-                    )
-                    continue
-                urls = [entry[2] for entry in chunk]
-                ids_arr = np.fromiter(
-                    (page_index.get(url, -1) for url in urls), dtype=np.int64, count=m
-                )
-                site_idx = np.where(
-                    ids_arr >= 0, site_index_table[np.maximum(ids_arr, 0)], -1
-                )
-                slots = slot_times[slot_index : slot_index + m]
-                starts = politeness.earliest_allowed_many_indexed(
-                    site_idx, site_names, slots
-                )
-                snapshot_times = np.minimum(starts, horizon)
-                ok = ids_arr >= 0
-                known_pos = np.nonzero(ok)[0]
-                if known_pos.size:
-                    known_ids = ids_arr[known_pos]
-                    known_snaps = snapshot_times[known_pos]
-                    ok[known_pos] = (created[known_ids] <= known_snaps) & (
-                        known_snaps < deleted[known_ids]
-                    )
-                completed = np.minimum(starts + latency, horizon)
-                # Predicted reschedules under the frozen intervals; failed
-                # fetches reschedule nothing and never trigger anything.
-                ok_list = ok.tolist()
-                completed_list = completed.tolist()
-                next_visit = np.full(m, np.inf)
-                for j, ok_j in enumerate(ok_list):
-                    if ok_j:
-                        interval = intervals_get(urls[j])
-                        if interval is None or interval <= 0:
-                            interval = default_interval
-                        next_visit[j] = completed_list[j] + interval
-                trigger = ok & (
-                    (completed - self._last_reallocation) >= realloc_interval
-                )
-                # An entry is still the next pop only if no reschedule
-                # produced before it (in this round) lands earlier; ties go
-                # to the older sequence number, hence the strict >.
-                bound = np.empty(m)
-                bound[0] = earliest_reschedule
-                if m > 1:
-                    np.minimum.accumulate(
-                        np.minimum(next_visit[:-1], earliest_reschedule),
-                        out=bound[1:],
-                    )
-                scheduled = np.fromiter(
-                    (entry[0] for entry in chunk), dtype=float, count=m
-                )
-                overtake = scheduled > bound
-                cut_overtake = int(np.argmax(overtake)) if overtake.any() else m
-                cut_realloc = int(np.argmax(trigger)) if trigger.any() else m
-                cut = cut_overtake if cut_overtake < cut_realloc else cut_realloc
-                if cut > 0:
-                    politeness.record_requests_indexed(site_idx[:cut], starts[:cut])
-                    reschedule_urls = [
-                        url for url, ok_j in zip(urls[:cut], ok_list[:cut]) if ok_j
-                    ]
-                    reschedule_times = [
-                        t
-                        for t, ok_j in zip(next_visit[:cut].tolist(), ok_list[:cut])
-                        if ok_j
-                    ]
-                    self._collurls.schedule_many(reschedule_urls, reschedule_times)
+                if cut:
+                    # Commit the accepted prefix in fetch order.
+                    if politeness is not None:
+                        politeness.record_requests_indexed(site_idx[:cut], starts_arr[:cut])
+                    if tracker is not None:
+                        for url in reschedule_urls[first_success:]:
+                            tracker.on_success(url, site_table[index_get(url)])
                     pending_urls.extend(urls[:cut])
                     pending_times.extend(slots[:cut])
-                    pending_starts.extend(starts[:cut].tolist())
+                    pending_starts.extend(starts[:cut])
                     processed += cut
                     slot_index += cut
-                    if reschedule_times:
-                        chunk_min = min(reschedule_times)
-                        if chunk_min < earliest_reschedule:
-                            earliest_reschedule = chunk_min
                 if cut < m:
-                    if cut_overtake <= cut_realloc:
-                        # Overtaken: the queue head changed; end the round
-                        # and re-pop. An entry both overtaken and past the
-                        # reallocation threshold is not actually the next
-                        # pop, so overtake wins the tie.
-                        self._collurls.restore(chunk[cut:])
+                    if overtaken:
+                        # The queue head changed: put the tail back
+                        # untouched and start a new run.
+                        collurls.restore(chunk[cut:])
                         break
-                    # Reallocation boundary at entry `cut`: everything
-                    # observed so far must fold into the estimates first,
-                    # the rest of the chunk must be back in the queue when
-                    # the reallocation snapshots it, and the triggering
-                    # entry runs as a single-entry batch so its reschedule
-                    # uses the post-reallocation intervals.
-                    politeness.record_requests_indexed(
-                        site_idx[cut : cut + 1], starts[cut : cut + 1]
-                    )
-                    self._collurls.restore(chunk[cut + 1 :])
-                    flush()
-                    self.process_batch(
-                        [urls[cut]], [slots[cut]], resolved_at=[float(starts[cut])]
-                    )
-                    processed += 1
+                    collurls.schedule_many(reschedule_urls, reschedule_times)
+                    reschedule_urls.clear()
+                    reschedule_times.clear()
+                    url = urls[cut]
+                    slot = slots[cut]
+                    start = starts[cut]
+                    site = site_table[ids[cut]] if ids[cut] >= 0 else None
                     slot_index += 1
-                    break
+                    if quarantined is not None and quarantined[cut]:
+                        # Circuit breaker: the slot is spent but nothing is
+                        # fetched; the URL is deferred to the probe time.
+                        rescheduled_at = tracker.defer(url, site, slot)
+                    else:
+                        processed += 1
+                        if politeness is not None:
+                            politeness.record_request(site, start)
+                        if status == STATUS_OK:
+                            # Reallocation trigger: fold everything observed
+                            # so far into the estimates with the rest of the
+                            # chunk back in the queue, then run the trigger
+                            # alone so its reschedule uses the new intervals.
+                            if tracker is not None:
+                                tracker.on_success(url, site)
+                            collurls.restore(chunk[cut + 1 :])
+                            flush()
+                            self.process_batch(
+                                [url],
+                                [slot],
+                                resolved_at=None if politeness is None else [start],
+                            )
+                            break
+                        rescheduled_at = tracker.on_failure(
+                            url, site, status, completed, retry_after[cut]
+                        )
+                        if rescheduled_at is not None:
+                            retried.add(len(pending_urls))
+                        pending_urls.append(url)
+                        pending_times.append(slot)
+                        pending_starts.append(start)
+                    if rescheduled_at is not None:
+                        collurls.schedule(url, rescheduled_at)
+                        if rescheduled_at < earliest_reschedule:
+                            earliest_reschedule = rescheduled_at
+                    cut += 1
+                    if cut < m:
+                        # Go on with the rest of the chunk: its pure columns
+                        # stand, its stateful stages are resolved again.
+                        chunk = chunk[cut:]
+                        columns = [
+                            None if column is None else column[cut:] for column in columns
+                        ]
+                        continue
                 remaining = n_slots - slot_index
                 if remaining <= 0:
                     break
-                chunk = self._collurls.pop_due(
-                    until=earliest_reschedule, max_n=remaining
-                )
+                chunk = pop_due(until=earliest_reschedule, max_n=remaining)
+                if not chunk:
+                    break
+                columns = resolve_pure(chunk, slot_index)
+            collurls.schedule_many(reschedule_urls, reschedule_times)
         flush()
         return processed
 
@@ -818,7 +519,7 @@ class UpdateModule:
         times: Sequence[float],
         reschedule: bool = True,
         resolved_at: Optional[Sequence[float]] = None,
-        failure_decisions: Optional[Sequence[tuple]] = None,
+        retried: AbstractSet[int] = frozenset(),
     ) -> BatchCrawlOutcome:
         """Crawl a batch of URLs and fold the outcomes into the statistics.
 
@@ -837,6 +538,11 @@ class UpdateModule:
         visit order. Callers must ensure batches do not straddle a
         reallocation boundary (see :meth:`process_slots`).
 
+        The failure tracker is never consulted here: :meth:`process_slots`
+        makes every retry and breaker decision while it replays the queue,
+        once per fetch in fetch order, and passes the one fact this method
+        needs per failed fetch — whether its retry is already scheduled.
+
         Args:
             urls: URLs popped from CollUrls, in pop order.
             times: The crawl slot time of each URL.
@@ -846,13 +552,11 @@ class UpdateModule:
             resolved_at: Optional politeness-resolved start instant per URL
                 (already recorded against the policy state), forwarded to
                 the fetch layer.
-            failure_decisions: Per-URL frozen failure decisions from
-                :meth:`_process_slots_faulty` — ``("ok",)``, ``("gone",)``,
-                ``("retry", retry_at)`` or ``("drop",)``. When given, the
-                failure tracker has already been mutated (once per fetch,
-                in fetch order) and is not consulted again here; when
-                ``None`` with a tracker configured, the tracker is
-                consulted inline per entry.
+            retried: Positions in ``urls`` of transient failures whose retry
+                is scheduled: no observation was made, so the page keeps its
+                statistics and its queue entry. Every other failed fetch —
+                a missing page, or a transient failure whose retries are
+                exhausted — drops the page from the schedule.
 
         Returns:
             The :class:`BatchCrawlOutcome` from the CrawlModule.
@@ -884,45 +588,14 @@ class UpdateModule:
 
         histories = self._histories
         window_days = self._config.history_window_days
-        tracker = self.failure_tracker
-        if tracker is not None and failure_decisions is None:
-            faults = self._crawl_module.fetcher.faults
-            if faults is None or not (
-                faults.has_status_models or faults.has_latency_models
-            ):
-                # No active fault weather: transient statuses cannot arise
-                # and the tracker holds no per-site state, so the per-page
-                # on_success/on_failure consults are guaranteed no-ops.
-                tracker = None
-        statuses = outcome.statuses
-        retry_after = outcome.retry_after
         for i, (url, stored_i, changed_i, was_new_i, completed_i) in enumerate(
             zip(outcome.urls, stored, changed, was_new, completed)
         ):
             if not stored_i:
-                transient = statuses is not None and statuses[i] in TRANSIENT_CODES
-                if failure_decisions is not None:
-                    retry = failure_decisions[i][0] == "retry"
-                elif tracker is not None and transient:
-                    # Inline tracker consult (direct process_batch callers):
-                    # same decision the failure-aware engine would freeze.
-                    retry_at = tracker.on_failure(
-                        url,
-                        self._crawl_module.site_of(url),
-                        statuses[i],
-                        completed_i,
-                        0.0 if retry_after is None else retry_after[i],
-                    )
-                    retry = retry_at is not None
-                    if retry and reschedule:
-                        self._collurls.schedule(url, retry_at)
-                else:
-                    retry = False
-                if retry:
+                if i in retried:
                     # Transient failure with a retry scheduled: no
                     # observation was made, so the page's statistics and
-                    # queue entry survive untouched. Terminal transient
-                    # drops fall through to the forget path below.
+                    # queue entry survive untouched.
                     continue
                 # The page has disappeared (or is excluded), or its retries
                 # are exhausted: drop its statistics and do not reschedule
@@ -935,8 +608,6 @@ class UpdateModule:
                 self._forget(url)
                 self._crawl_module.discard(url)
                 continue
-            if tracker is not None and failure_decisions is None:
-                tracker.on_success(url, self._crawl_module.site_of(url))
             if first_completed is None:
                 first_completed = completed_i
             if reschedule:

@@ -373,8 +373,8 @@ class FaultLayer:
         self.models: List[FaultModel] = list(models)
         # Null models (zero rate, unit latency factor) can never claim a
         # fetch: dropping them here lets every consumer skip the hashing
-        # and the failure-aware engine entirely, so arming a zero-rate
-        # layer costs nothing and changes nothing.
+        # and the failure tracker entirely, so arming a zero-rate layer
+        # costs nothing and changes nothing.
         active = [m for m in self.models if not m.is_null]
         self._status_models = [m for m in active if not m.is_latency]
         self._latency_models = [m for m in active if m.is_latency]
@@ -597,6 +597,26 @@ class FailureTracker:
             return False
         until = self._breaker_until.get(site)
         return until is not None and at < until
+
+    def quarantined_many(
+        self, sites: Sequence[Optional[str]], times: Sequence[float]
+    ) -> List[bool]:
+        """:meth:`quarantined` for a run of fetches, against the current state.
+
+        The batched engine checks a whole candidate run at once; the answer
+        holds for as long as no failure is recorded (a success only ever
+        lifts a breaker, and a quarantined site's earlier slots in the run
+        are quarantined too).
+        """
+        until = self._breaker_until
+        if not until:
+            return [False] * len(sites)
+        get = until.get
+        out = []
+        for site, at in zip(sites, times):
+            site_until = get(site)
+            out.append(site_until is not None and at < site_until)
+        return out
 
     def defer(self, url: str, site: str, at: float) -> float:
         """Record a breaker-deferred slot; returns the probe time."""

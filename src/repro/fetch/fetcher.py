@@ -196,8 +196,15 @@ class SimulatedFetcher:
 
     @property
     def faults(self) -> Optional[FaultLayer]:
-        """The fault layer, if one is configured (read-only access for the
-        failure-aware crawl engine, which predicts statuses per slot)."""
+        """The fault layer, if one is configured.
+
+        Read by the batched crawl engine's one prediction pipeline
+        (:meth:`~repro.core.update_module.UpdateModule.process_slots`): when
+        the layer has active models, each candidate run's statuses and
+        latency factors are resolved in bulk on the slot times — the same
+        pure functions this fetcher applies — so the engine can cut the run
+        at the first transient failure before anything is fetched.
+        """
         return self._faults
 
     def site_of(self, url: str) -> Optional[str]:

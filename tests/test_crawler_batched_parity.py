@@ -166,21 +166,28 @@ class TestPolitenessEngineParity:
         )
 
     def test_polite_crawl_uses_batched_path(self, monkeypatch):
-        """Politeness no longer forces the reference engine: the batched
-        engine's polite slot processor must actually run."""
+        """Politeness does not force the reference engine: a batched polite
+        crawl runs through process_slots and never calls process_next."""
         from repro.core.update_module import UpdateModule
 
-        calls = {"polite": 0}
-        original = UpdateModule._process_slots_polite
+        calls = {"slots": 0, "next": 0}
+        process_slots = UpdateModule.process_slots
+        process_next = UpdateModule.process_next
 
-        def spy(self, slot_times, politeness):
-            calls["polite"] += 1
-            return original(self, slot_times, politeness)
+        def slots_spy(self, slot_times):
+            calls["slots"] += 1
+            return process_slots(self, slot_times)
 
-        monkeypatch.setattr(UpdateModule, "_process_slots_polite", spy)
+        def next_spy(self, at):
+            calls["next"] += 1
+            return process_next(self, at)
+
+        monkeypatch.setattr(UpdateModule, "process_slots", slots_spy)
+        monkeypatch.setattr(UpdateModule, "process_next", next_spy)
         result, _ = _run_incremental_polite("batched", "optimal", "ep", "both")
         assert result.pages_crawled > 0
-        assert calls["polite"] > 0
+        assert calls["slots"] > 0
+        assert calls["next"] == 0
 
 
 class TestPeriodicEngineParity:
