@@ -33,6 +33,12 @@ Two failure-injection phases then harden the story further:
   finish with the uninterrupted run's exact result — no resume
   invocation involved.
 
+Every phase is bounded: each ``run-spec`` and each wait for a coordinator
+has a timeout and fails naming its phase. Each coordinator-kill phase
+records the coordinator's worker processes before the SIGKILL and fails
+if any is alive 5 s later, and every phase ends by checking that no
+process it started (found by an environment marker) is still running.
+
 Run from the repository root:
 
     PYTHONPATH=src python scripts/kill_resume_smoke.py
@@ -100,6 +106,18 @@ SHARDED_SPEC = {
 
 POLL_SECONDS = 0.02
 KILL_TIMEOUT_SECONDS = 120.0
+#: Upper bound on one uninterrupted or resumed ``run-spec``.
+RUN_TIMEOUT_SECONDS = 600.0
+#: Upper bound on a coordinator exiting (after a SIGKILL, or on its own).
+WAIT_TIMEOUT_SECONDS = 300.0
+#: How long a process of a finished phase may take to disappear.
+ORPHAN_GRACE_SECONDS = 5.0
+#: Environment entry every process this script starts inherits.
+MARKER = f"KILL_RESUME_SMOKE_RUN={os.getpid()}".encode()
+
+
+def fail(phase: str, message: str) -> None:
+    raise SystemExit(f"FAIL [{phase}]: {message}")
 
 
 def cli_env() -> dict:
@@ -107,17 +125,86 @@ def cli_env() -> dict:
     src = os.path.join(REPO, "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
+    key, value = MARKER.decode().split("=")
+    env[key] = value
     return env
 
 
-def run_spec(spec_path: str, *extra: str) -> None:
-    subprocess.run(
-        [sys.executable, "-m", "repro", "run-spec", spec_path, *extra],
-        cwd=REPO,
-        env=cli_env(),
-        check=True,
-        stdout=subprocess.DEVNULL,
-    )
+def run_spec(phase: str, spec_path: str, *extra: str) -> None:
+    try:
+        subprocess.run(
+            [sys.executable, "-m", "repro", "run-spec", spec_path, *extra],
+            cwd=REPO,
+            env=cli_env(),
+            check=True,
+            stdout=subprocess.DEVNULL,
+            timeout=RUN_TIMEOUT_SECONDS,
+        )
+    except subprocess.TimeoutExpired:
+        fail(phase, f"run-spec did not finish within {RUN_TIMEOUT_SECONDS:.0f} s")
+    check_no_leftovers(phase)
+
+
+def wait_for_exit(proc: subprocess.Popen, phase: str) -> int:
+    """``proc.wait()``, bounded; fails naming ``phase`` when it runs out."""
+    try:
+        return proc.wait(timeout=WAIT_TIMEOUT_SECONDS)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait(timeout=WAIT_TIMEOUT_SECONDS)
+        fail(phase, f"coordinator did not exit within {WAIT_TIMEOUT_SECONDS:.0f} s")
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(b")") + 2:].split()[0] != b"Z"
+
+
+def wait_gone(pids, phase: str, what: str) -> None:
+    """Fail unless every pid has exited within the grace period."""
+    deadline = time.monotonic() + ORPHAN_GRACE_SECONDS
+    alive = [pid for pid in pids if running(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if running(pid)]
+    if alive:
+        fail(phase, f"{what} {alive} still alive {ORPHAN_GRACE_SECONDS:.0f} s later")
+
+
+def marked_pids() -> list:
+    """Live processes carrying this run's environment marker."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/environ", "rb") as handle:
+                environ = handle.read().split(b"\0")
+        except OSError:
+            continue
+        if MARKER in environ:
+            pids.append(int(entry))
+    return pids
+
+
+def check_no_leftovers(phase: str) -> None:
+    """Fail if any process this script started outlives its phase."""
+    wait_gone(marked_pids(), phase, "processes of the finished phase")
+
+
+def kill_coordinator(proc: subprocess.Popen, phase: str) -> None:
+    """SIGKILL a coordinator; its workers must die with it within 5 s."""
+    workers = worker_pids(proc.pid)
+    proc.send_signal(signal.SIGKILL)
+    wait_for_exit(proc, phase)
+    wait_gone(workers, phase, "workers of the killed coordinator")
+    check_no_leftovers(phase)
+    print(f"      {len(workers)} worker(s) of the killed coordinator gone")
 
 
 def state_keys(store: str) -> set:
@@ -162,7 +249,7 @@ def main() -> int:
     out_b = os.path.join(tmp, "b.json")
 
     print("[1/3] uninterrupted run ...")
-    run_spec(spec_path, "--store", store_a, "--out", out_a, "--compact")
+    run_spec("plain 1/3", spec_path, "--store", store_a, "--out", out_a, "--compact")
 
     print("[2/3] run to first checkpoint, then SIGKILL ...")
     proc = subprocess.Popen(
@@ -187,14 +274,13 @@ def main() -> int:
                 "too fast for this machine"
             )
         if "checkpoint" in keys:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            kill_coordinator(proc, "plain 2/3")
             killed = True
             break
         time.sleep(POLL_SECONDS)
     if not killed:
         proc.kill()
-        proc.wait()
+        wait_for_exit(proc, "plain 2/3")
         raise SystemExit("FAIL: no checkpoint observed before the timeout")
     assert proc.returncode == -signal.SIGKILL, proc.returncode
     keys_after_kill = state_keys(store_b)
@@ -203,7 +289,10 @@ def main() -> int:
     print(f"      killed mid-run (returncode {proc.returncode})")
 
     print("[3/3] resume from the checkpoint ...")
-    run_spec(spec_path, "--store", store_b, "--resume", "--out", out_b, "--compact")
+    run_spec(
+        "plain 3/3", spec_path, "--store", store_b, "--resume", "--out", out_b,
+        "--compact",
+    )
 
     a = result_doc(out_a)
     b = result_doc(out_b)
@@ -263,7 +352,7 @@ def sharded_phase(tmp: str) -> None:
     out_d = os.path.join(tmp, "d.json")
 
     print("[1/3] uninterrupted sharded run ...")
-    run_spec(spec_path, "--store", store_c, "--out", out_c, "--compact")
+    run_spec("sharded 1/3", spec_path, "--store", store_c, "--out", out_c, "--compact")
 
     print("[2/3] sharded run to a shard checkpoint, then SIGKILL the coordinator ...")
     proc = subprocess.Popen(
@@ -287,26 +376,27 @@ def sharded_phase(tmp: str) -> None:
                 "too fast for this machine"
             )
         if any_shard_checkpoint(store_d, n_shards):
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            # The workers carry PR_SET_PDEATHSIG: killing the coordinator
+            # kills them, so the resumed run never races orphans for the
+            # shard stores. kill_coordinator checks that they are gone.
+            kill_coordinator(proc, "sharded 2/3")
             killed = True
             break
         time.sleep(POLL_SECONDS)
     if not killed:
         proc.kill()
-        proc.wait()
+        wait_for_exit(proc, "sharded 2/3")
         raise SystemExit("FAIL: no shard checkpoint observed before the timeout")
     assert proc.returncode == -signal.SIGKILL, proc.returncode
     assert "result" not in state_keys(store_d)
     assert not os.path.exists(out_d), "killed run must not have written a result"
-    # The workers carry PR_SET_PDEATHSIG: killing the coordinator reaps
-    # them, so the resumed run never races orphans for the shard stores.
-    # Give the kernel a moment to deliver the signal before resuming.
-    time.sleep(0.5)
     print(f"      killed mid-run (returncode {proc.returncode})")
 
     print("[3/3] resume the sharded run from the per-shard stores ...")
-    run_spec(spec_path, "--store", store_d, "--resume", "--out", out_d, "--compact")
+    run_spec(
+        "sharded 3/3", spec_path, "--store", store_d, "--resume", "--out", out_d,
+        "--compact",
+    )
 
     c = result_doc(out_c)
     d = result_doc(out_d)
@@ -384,21 +474,23 @@ def corrupted_checkpoint_phase(tmp: str, out_reference: str) -> None:
         if "result" in keys:
             raise SystemExit("FAIL: result row appeared before the kill")
         if "checkpoint_prev" in keys:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            kill_coordinator(proc, "corrupt 1/3")
             killed = True
             break
         time.sleep(POLL_SECONDS)
     if not killed:
         proc.kill()
-        proc.wait()
+        wait_for_exit(proc, "corrupt 1/3")
         raise SystemExit("FAIL: no second checkpoint observed before the timeout")
 
     print("[corrupt 2/3] flip a byte inside the latest checkpoint ...")
     corrupt_state_value(store, "checkpoint")
 
     print("[corrupt 3/3] resume; must fall back to the previous snapshot ...")
-    run_spec(spec_path, "--store", store, "--resume", "--out", out, "--compact")
+    run_spec(
+        "corrupt 3/3", spec_path, "--store", store, "--resume", "--out", out,
+        "--compact",
+    )
 
     a = result_doc(out_reference)
     b = result_doc(out)
@@ -477,11 +569,12 @@ def worker_kill_phase(tmp: str) -> None:
         time.sleep(POLL_SECONDS)
     if victim is None:
         proc.kill()
-        proc.wait()
+        wait_for_exit(proc, "worker-kill 1/2")
         raise SystemExit("FAIL: no worker process found to kill before the timeout")
     print(f"      killed worker pid {victim}; waiting for the coordinator ...")
 
-    returncode = proc.wait()
+    returncode = wait_for_exit(proc, "worker-kill 1/2")
+    check_no_leftovers("worker-kill 1/2")
     if returncode != 0:
         raise SystemExit(
             f"FAIL: coordinator exited with {returncode} instead of "

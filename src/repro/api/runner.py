@@ -22,7 +22,7 @@ import inspect
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import __version__
@@ -45,7 +45,9 @@ from repro.experiment.monitor import ActiveMonitor
 from repro.experiment.site_selection import select_sites
 from repro.experiment.survival import analyze_survival
 from repro.simweb.generator import generate_web
+from repro.simweb.shared import SharedWeb, attach_web
 from repro.simweb.web import SimulatedWeb
+from repro.workers import run_pool
 
 
 @dataclass
@@ -75,6 +77,23 @@ class ExperimentResult:
     summary: Dict[str, Any] = field(default_factory=dict)
     tables: Dict[str, Any] = field(default_factory=dict)
     artifacts: Dict[str, Any] = field(default_factory=dict, repr=False)
+
+    def to_state(self) -> Dict[str, Any]:
+        """Every field but ``artifacts``, for :meth:`from_state`: a store's
+        saved result and a matrix worker's reply both use this document."""
+        return {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "artifacts"
+        }
+
+    @classmethod
+    def from_state(
+        cls, state: Mapping[str, Any], wall_time_seconds: Optional[float] = None
+    ) -> "ExperimentResult":
+        """Rebuild a result from :meth:`to_state`'s document, with no artifacts;
+        ``wall_time_seconds`` replaces the stored wall time."""
+        if wall_time_seconds is None:
+            wall_time_seconds = state.get("wall_time_seconds", 0.0)
+        return cls(**{**state, "wall_time_seconds": wall_time_seconds})
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable view (artifacts excluded)."""
@@ -194,39 +213,16 @@ def run(
             if saved is not None:
                 return _result_from_state(spec, saved, time.perf_counter() - started)
         if spec.kind == "crawl":
-            series, summary, tables, artifacts = _run_crawl(
-                spec, web, backend=backend, resume=resume, store=store
-            )
+            payload = _run_crawl(spec, web, backend=backend, resume=resume, store=store)
         elif spec.kind == "monitor":
-            series, summary, tables, artifacts = _run_monitor(spec, web)
+            payload = _run_monitor(spec, web)
         elif spec.kind == "scenario":
-            series, summary, tables, artifacts = _run_scenario(spec)
+            payload = _run_scenario(spec)
         else:  # pragma: no cover - ExperimentSpec already validates the kind
             raise ValueError(f"unknown experiment kind {spec.kind!r}")
-        result = ExperimentResult(
-            name=spec.name,
-            kind=spec.kind,
-            spec_hash=spec.spec_hash(),
-            seed=spec.effective_seed(),
-            wall_time_seconds=time.perf_counter() - started,
-            series=series,
-            summary=summary,
-            tables=tables,
-            artifacts=artifacts,
-        )
+        result = _spec_result(spec, payload, time.perf_counter() - started)
         if backend is not None:
-            backend.save_state(
-                RESULT_STATE_KEY,
-                {
-                    "name": result.name,
-                    "kind": result.kind,
-                    "spec_hash": result.spec_hash,
-                    "seed": result.seed,
-                    "series": result.series,
-                    "summary": result.summary,
-                    "tables": result.tables,
-                },
-            )
+            backend.save_state(RESULT_STATE_KEY, result.to_state())
             backend.flush()
         return result
     finally:
@@ -265,23 +261,25 @@ def _result_from_state(
             f"(stored {str(stored_hash)[:12]}..., expected "
             f"{spec.spec_hash()[:12]}...)"
         )
-    return ExperimentResult(
-        name=saved["name"],
-        kind=saved["kind"],
-        spec_hash=stored_hash,
-        seed=saved.get("seed"),
-        wall_time_seconds=elapsed,
-        series=dict(saved.get("series", {})),
-        summary=dict(saved.get("summary", {})),
-        tables=dict(saved.get("tables", {})),
-        artifacts={},
-    )
+    return ExperimentResult.from_state(saved, wall_time_seconds=elapsed)
 
 
 # --------------------------------------------------------------------- #
 # Experiment kinds
 # --------------------------------------------------------------------- #
+#: ``(series, summary, tables, artifacts)`` of one experiment.
 _RunPayload = Tuple[Dict[str, List[float]], Dict[str, Any], Dict[str, Any], Dict[str, Any]]
+
+
+def _spec_result(
+    spec: ExperimentSpec, payload: _RunPayload, wall_time_seconds: float
+) -> ExperimentResult:
+    """The result of running ``spec``, with its provenance."""
+    series, summary, tables, artifacts = payload
+    return ExperimentResult(
+        spec.name, spec.kind, spec.spec_hash(), spec.effective_seed(),
+        wall_time_seconds, series, summary, tables, artifacts,
+    )
 
 
 def _incremental_config(
@@ -722,19 +720,8 @@ def run_matrix(
                 f"{len(values)} values"
             )
         for (index, assignment, spec), cell_payload in zip(remaining, per_cell):
-            series, summary, tables, artifacts = _split_payload(
-                spec.scenario, cell_payload
-            )
-            results[index] = ExperimentResult(
-                name=spec.name,
-                kind=spec.kind,
-                spec_hash=spec.spec_hash(),
-                seed=spec.effective_seed(),
-                wall_time_seconds=0.0,
-                series=series,
-                summary=summary,
-                tables=tables,
-                artifacts=artifacts,
+            results[index] = _spec_result(
+                spec, _split_payload(spec.scenario, cell_payload), 0.0
             )
         remaining = []
         flush()
@@ -770,54 +757,11 @@ def _web_cache_key(spec: ExperimentSpec) -> Optional[str]:
     return None
 
 
-def _matrix_pool_worker(tasks: Any, results_queue: Any) -> None:
-    """Process-pool worker: pull cell jobs until the ``None`` sentinel.
-
-    Webs arrive as :class:`~repro.simweb.shared.SharedWebPayload` names and
-    are materialised zero-copy, then cached per worker by cache key so a
-    worker running several cells over the same web attaches once.
-    """
-    from repro.simweb.shared import install_parent_death_signal
-
-    install_parent_death_signal()
-    webs: Dict[str, SimulatedWeb] = {}
-    while True:
-        job = tasks.get()
-        if job is None:
-            break
-        index, spec, payload, cache_key = job
-        try:
-            web = None
-            if payload is not None:
-                web = webs.get(cache_key)
-                if web is None:
-                    web = payload.materialise()
-                    webs[cache_key] = web
-            result = run(spec, web=web)
-            results_queue.put(
-                (
-                    "result",
-                    index,
-                    {
-                        "name": result.name,
-                        "kind": result.kind,
-                        "spec_hash": result.spec_hash,
-                        "seed": result.seed,
-                        "wall_time_seconds": result.wall_time_seconds,
-                        "series": result.series,
-                        "summary": result.summary,
-                        "tables": result.tables,
-                    },
-                )
-            )
-        except BaseException:
-            import traceback
-
-            try:
-                results_queue.put(("error", index, traceback.format_exc()))
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-            break
+def _matrix_cell(job: Tuple[int, ExperimentSpec, Any], send: Any) -> Dict[str, Any]:
+    """Pool handler: run one cell, attaching its shared web once per worker."""
+    _, spec, payload = job
+    web = attach_web(payload) if payload is not None else None
+    return run(spec, web=web).to_state()
 
 
 def _run_cells_parallel(
@@ -826,83 +770,37 @@ def _run_cells_parallel(
     workers: int,
     flush: Any,
 ) -> None:
-    """Run matrix cells on a spawn-based process pool with shared webs.
+    """Run matrix cells on the worker pool; a failed cell aborts the sweep.
 
     Every distinct ``(web spec, seed)`` is generated once here and packed
-    into shared memory; workers attach zero-copy. Cell jobs are enqueued in
-    cell-index order and whichever worker is free takes the next, so the
-    pool stays busy regardless of per-cell cost skew; results are keyed by
-    index, making the outcome independent of scheduling.
+    into shared memory; workers attach zero-copy. Free workers take cells
+    in index order; results are keyed by index, so scheduling never shows.
     """
-    import multiprocessing
-    import queue as queue_module
-
-    from repro.simweb.shared import SharedWeb
-
-    ctx = multiprocessing.get_context("spawn")
-    tasks = ctx.Queue()
-    results_queue = ctx.Queue()
     shared_webs: Dict[str, SharedWeb] = {}
-    processes: List[Any] = []
-    n_workers = min(workers, len(remaining))
+    jobs = []
     try:
-        for index, assignment, spec in remaining:
-            cache_key = _web_cache_key(spec)
+        for index, _, spec in remaining:
             payload = None
+            cache_key = _web_cache_key(spec)
             if cache_key is not None:
-                shared = shared_webs.get(cache_key)
-                if shared is None:
-                    shared = SharedWeb(build_web(spec.web, seed=spec.seed))
-                    shared_webs[cache_key] = shared
-                payload = shared.payload
-            tasks.put((index, spec, payload, cache_key))
-        for _ in range(n_workers):
-            tasks.put(None)
-        for _ in range(n_workers):
-            process = ctx.Process(
-                target=_matrix_pool_worker,
-                args=(tasks, results_queue),
-                daemon=True,
-            )
-            process.start()
-            processes.append(process)
-        received = 0
-        while received < len(remaining):
-            try:
-                message = results_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                dead = [p for p in processes if not p.is_alive() and p.exitcode != 0]
-                if dead and received < len(remaining):
-                    raise RuntimeError(
-                        f"matrix worker exited with code {dead[0].exitcode} "
-                        "without reporting its cell"
+                if cache_key not in shared_webs:
+                    shared_webs[cache_key] = SharedWeb(
+                        build_web(spec.web, seed=spec.seed)
                     )
-                continue
-            kind, index, payload = message
-            if kind == "error":
-                raise RuntimeError(f"matrix cell {index} failed:\n{payload}")
-            received += 1
-            results[index] = ExperimentResult(
-                name=payload["name"],
-                kind=payload["kind"],
-                spec_hash=payload["spec_hash"],
-                seed=payload["seed"],
-                wall_time_seconds=payload["wall_time_seconds"],
-                series=payload["series"],
-                summary=payload["summary"],
-                tables=payload["tables"],
-                artifacts={},
-            )
+                payload = shared_webs[cache_key].payload
+            jobs.append((index, spec, payload))
+
+        def on_result(job: Tuple[int, ExperimentSpec, Any], state: Dict) -> None:
+            results[job[0]] = ExperimentResult.from_state(state)
             flush()
-        for process in processes:
-            process.join()
+
+        def on_lost(job: Tuple[int, ExperimentSpec, Any], detail: str) -> None:
+            raise RuntimeError(f"matrix cell {job[0]} failed:\n{detail}")
+
+        run_pool(
+            jobs, _matrix_cell, workers=workers, on_result=on_result, on_lost=on_lost
+        )
     finally:
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join()
-        tasks.close()
-        results_queue.close()
         for shared in shared_webs.values():
             shared.close()
 

@@ -540,7 +540,6 @@ class IncrementalCrawler:
             sample_quality=lambda at: self._sample_quality(result, at),
             refresh_journal=self._refresh_journal_records,
             on_measure=self.on_measure,
-            view=self._shard_view,
         )
         engine.run(
             start_time,

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.quality import CollectionQualityCache
 from repro.fetch.fetcher import SimulatedFetcher
-from repro.simulation.clock import VirtualClock
 from repro.simulation.freshness_tracker import FreshnessTimeSeries, FreshnessTracker
 from repro.simweb.web import SimulatedWeb
 from repro.storage.collection import ShadowCollection
@@ -136,7 +135,6 @@ class PeriodicCrawler:
         if duration_days <= 0:
             raise ValueError("duration_days must be positive")
         end_time = min(start_time + duration_days, self._web.horizon_days)
-        clock = VirtualClock(start_time)
         tracker = FreshnessTracker(
             self._web,
             self._collection,

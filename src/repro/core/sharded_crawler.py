@@ -4,8 +4,8 @@ Section 5.2's architecture is explicitly designed so that "multiple
 CrawlModules may run in parallel". This module scales the *whole* crawler
 that way: the URL space is partitioned site-affinely into
 :class:`~repro.core.sharding.ShardView` slices, each slice runs the exact
-batched engine (:class:`~repro.core.sharding.ShardEngine`) in a worker
-process against a shared-memory copy of the web
+batched engine (:class:`~repro.core.sharding.ShardEngine`) in a
+:mod:`repro.workers` pool process against a shared-memory copy of the web
 (:mod:`repro.simweb.shared`), and the coordinator merges the per-shard
 results deterministically.
 
@@ -31,9 +31,6 @@ resume from their checkpoints.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import queue as queue_module
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -46,7 +43,7 @@ from repro.core.incremental_crawler import (
 from repro.core.sharding import ShardView
 from repro.core.update_module import UpdateModule
 from repro.simulation.freshness_tracker import FreshnessTimeSeries
-from repro.simweb.shared import SharedWeb, SharedWebPayload, install_parent_death_signal
+from repro.simweb.shared import SharedWeb, SharedWebPayload, attach_web
 from repro.simweb.web import SimulatedWeb
 from repro.storage.checkpoint import (
     RESULT_STATE_KEY,
@@ -55,6 +52,7 @@ from repro.storage.checkpoint import (
     namespaced_state_key,
 )
 from repro.storage.records import record_to_dict
+from repro.workers import run_pool
 
 
 def shard_namespace(index: int) -> str:
@@ -87,6 +85,8 @@ class ShardRunSpec:
     checkpoint_every: Optional[float]
     spec_hash: Optional[str]
     resume: bool
+    #: How many times this shard's worker has failed before this run.
+    attempt: int = 0
 
 
 @dataclass
@@ -144,11 +144,7 @@ def _run_shard(
                     namespace=namespace,
                 )
         if job.resume:
-            if backend is None or checkpointer is None:
-                raise ValueError(
-                    "shard resume requires a persistent store and "
-                    "checkpoint_every"
-                )
+            # ShardedCrawler.run only resumes with storage and checkpoints.
             saved = backend.load_state(result_key)
             if saved is not None:
                 if job.spec_hash is not None and saved.get("spec_hash") != job.spec_hash:
@@ -222,29 +218,11 @@ def _run_shard(
             backend.close()
 
 
-def _shard_worker(job: ShardRunSpec, results: "multiprocessing.Queue") -> None:
-    """Worker-process entry point: attach the shared web, run, report.
-
-    Every message is ``(kind, shard_index, *rest)``; the coordinator
-    treats ``"error"`` as fatal. Workers die with the coordinator
-    (PDEATHSIG), so a SIGKILLed parent never leaves orphans racing a
-    resumed run for the shard stores.
-    """
-    install_parent_death_signal()
-    try:
-        web = job.payload.materialise()
-        shard = job.view.index
-
-        def stream_window(at, freshness, quality):
-            results.put(("window", shard, at, freshness, quality))
-
-        payload = _run_shard(job, web, on_measure=stream_window)
-        results.put(("result", shard, payload))
-    except BaseException:
-        try:
-            results.put(("error", job.view.index, traceback.format_exc()))
-        except Exception:  # pragma: no cover - queue already broken
-            pass
+def _shard_job(job: ShardRunSpec, send: Callable) -> dict:
+    """Pool handler: run one shard on the shared web, streaming each window."""
+    return _run_shard(
+        job, attach_web(job.payload), on_measure=lambda *window: send(window)
+    )
 
 
 class ShardedCrawler:
@@ -268,22 +246,15 @@ class ShardedCrawler:
         checkpoint_every: Optional per-shard checkpoint cadence (days).
         spec_hash: Optional spec hash stamped into shard checkpoints and
             results, so a resume refuses foreign state.
-        worker_retries: How many times a crashed or killed shard worker is
-            re-run before the coordinator gives up and raises (with the
+        worker_retries: How many times a shard whose worker crashed or was
+            killed is re-run before the coordinator raises (with the
             worker's traceback or exit code). Recovery requires per-shard
             persistence (``storage``, ``store_path`` and
-            ``checkpoint_every``): the respawned worker resumes from the
-            shard's last checkpoint — or short-circuits from its stored
-            result if the crash hit after completion — so the merged
-            result stays bit-identical to an uninterrupted run. Without
-            persistence a worker failure is immediately fatal, exactly the
-            pre-retry behaviour.
+            ``checkpoint_every``): the retry resumes from the shard's last
+            checkpoint, or its stored result, so the merged result stays
+            bit-identical to an uninterrupted run. Without persistence a
+            worker failure is immediately fatal.
     """
-
-    #: Upper bound on a worker join before escalating to terminate/kill;
-    #: generous, because a healthy worker exits within milliseconds of
-    #: reporting its result.
-    JOIN_TIMEOUT_SECONDS: float = 30.0
 
     def __init__(
         self,
@@ -389,166 +360,51 @@ class ShardedCrawler:
         if len(jobs) == 1:
             # Single shard: no processes, no shared memory — the plain
             # batched crawler, run inline. This is the bit-identity anchor.
-            payloads = [self._run_inline(jobs[0])]
+            payloads = [
+                _run_shard(
+                    jobs[0],
+                    self._web,
+                    on_measure=lambda *window: self._relay_window(jobs[0], window),
+                )
+            ]
         else:
-            payloads = self._run_workers(jobs)
+            # Completion order varies; _merge folds in shard-index order.
+            payloads: List[dict] = []
+            with SharedWeb(self._web) as shared:
+                run_pool(
+                    [dataclasses.replace(job, payload=shared.payload) for job in jobs],
+                    _shard_job,
+                    workers=self.workers,
+                    on_result=lambda job, payload: payloads.append(payload),
+                    on_lost=self._requeue,
+                    on_message=self._relay_window,
+                )
         return self._merge(payloads, duration_days)
 
-    def _run_inline(self, job: ShardRunSpec) -> dict:
-        on_measure = None
+    def _relay_window(self, job: ShardRunSpec, window: tuple) -> None:
         if self.on_window is not None:
-            shard = job.view.index
-            on_window = self.on_window
+            self.on_window(job.view.index, *window)
 
-            def on_measure(at, freshness, quality):
-                on_window(shard, at, freshness, quality)
+    def _requeue(self, job: ShardRunSpec, detail: str) -> ShardRunSpec:
+        """The pool's ``on_lost``: a failed shard's retry, or raise.
 
-        return _run_shard(job, self._web, on_measure=on_measure)
-
-    def _can_recover_workers(self) -> bool:
-        """Whether a crashed worker can be re-run from its shard's store."""
-        return (
-            self.worker_retries > 0
-            and self._storage is not None
+        The retry resumes from the shard's last checkpoint (or its stored
+        result, when the worker died after finishing), so the merged result
+        stays bit-identical. Raises once ``worker_retries`` is spent, or at
+        once without per-shard persistence.
+        """
+        attempt = job.attempt + 1
+        persistent = (
+            self._storage is not None
             and self._store_path is not None
             and self._checkpoint_every is not None
         )
-
-    def _reap(self, process: multiprocessing.Process) -> None:
-        """Join a worker with a bounded wait, escalating to terminate/kill.
-
-        An indefinite ``join()`` would hang the coordinator forever on a
-        worker stuck in un-interruptible state; every join in this class
-        goes through here so a wedged worker costs at most a few bounded
-        waits before being killed.
-        """
-        process.join(timeout=self.JOIN_TIMEOUT_SECONDS)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=self.JOIN_TIMEOUT_SECONDS)
-        if process.is_alive():  # pragma: no cover - needs an unkillable worker
-            process.kill()
-            process.join(timeout=self.JOIN_TIMEOUT_SECONDS)
-
-    def _handle_worker_failure(
-        self,
-        shard: int,
-        detail: str,
-        pending: List[ShardRunSpec],
-        attempts: Dict[int, int],
-        by_shard: Dict[int, ShardRunSpec],
-    ) -> None:
-        """Requeue a failed shard with resume, or raise once retries run out.
-
-        The respawned job resumes from the shard's last checkpoint (or
-        short-circuits from its stored result when the worker died after
-        finishing but before reporting), so recovery never replays work
-        differently — the merged result is bit-identical either way.
-        """
-        attempts[shard] += 1
-        if self._can_recover_workers() and attempts[shard] <= self.worker_retries:
-            job = dataclasses.replace(by_shard[shard], resume=True)
-            by_shard[shard] = job
-            pending.append(job)
-            return
+        if persistent and attempt <= self.worker_retries:
+            return dataclasses.replace(job, resume=True, attempt=attempt)
         raise RuntimeError(
-            f"shard {shard} worker failed "
-            f"(attempt {attempts[shard]}, retries exhausted):\n{detail}"
+            f"shard {job.view.index} worker failed "
+            f"(attempt {attempt}, retries exhausted):\n{detail}"
         )
-
-    def _run_workers(self, jobs: List[ShardRunSpec]) -> List[dict]:
-        """Fan shard jobs out to at most ``workers`` processes at a time.
-
-        A worker that reports an error or dies silently (killed, OOMed,
-        or exiting cleanly without a result) is re-run up to
-        ``worker_retries`` times when per-shard persistence is configured
-        — resuming from the shard checkpoint — before the failure is
-        raised with the worker's traceback or exit code.
-        """
-        ctx = multiprocessing.get_context("spawn")
-        results_queue = ctx.Queue()
-        payloads: Dict[int, dict] = {}
-        running: Dict[int, multiprocessing.Process] = {}
-        attempts: Dict[int, int] = {job.view.index: 0 for job in jobs}
-        with SharedWeb(self._web) as shared:
-            by_shard = {
-                job.view.index: dataclasses.replace(job, payload=shared.payload)
-                for job in jobs
-            }
-            pending = list(by_shard.values())
-            pending.reverse()  # pop() serves shards in shard-index order
-            try:
-                while pending or running:
-                    while pending and len(running) < self.workers:
-                        job = pending.pop()
-                        process = ctx.Process(
-                            target=_shard_worker,
-                            args=(job, results_queue),
-                            daemon=True,
-                        )
-                        process.start()
-                        running[job.view.index] = process
-                    try:
-                        message = results_queue.get(timeout=1.0)
-                    except queue_module.Empty:
-                        self._check_workers(
-                            running, payloads, pending, attempts, by_shard
-                        )
-                        continue
-                    kind = message[0]
-                    if kind == "window":
-                        _, shard, at, freshness, quality = message
-                        if self.on_window is not None:
-                            self.on_window(shard, at, freshness, quality)
-                    elif kind == "result":
-                        _, shard, payload = message
-                        payloads[shard] = payload
-                        process = running.pop(shard, None)
-                        if process is not None:
-                            self._reap(process)
-                    else:  # "error"
-                        _, shard, trace = message
-                        process = running.pop(shard, None)
-                        if process is not None:
-                            self._reap(process)
-                        self._handle_worker_failure(
-                            shard, trace, pending, attempts, by_shard
-                        )
-            finally:
-                for process in running.values():
-                    if process.is_alive():
-                        process.terminate()
-                    self._reap(process)
-                results_queue.close()
-        return [payloads[job.view.index] for job in jobs]
-
-    def _check_workers(
-        self,
-        running: Dict[int, multiprocessing.Process],
-        payloads: Dict[int, dict],
-        pending: List[ShardRunSpec],
-        attempts: Dict[int, int],
-        by_shard: Dict[int, ShardRunSpec],
-    ) -> None:
-        """Detect workers that died without reporting (e.g. SIGKILL/OOM).
-
-        A clean exit (code 0) without a result is just as fatal as a
-        signal death — the shard has no payload and nobody will deliver
-        one — so both feed the same retry-or-raise path.
-        """
-        for shard, process in list(running.items()):
-            if shard in payloads or process.is_alive():
-                continue
-            running.pop(shard)
-            self._reap(process)
-            self._handle_worker_failure(
-                shard,
-                f"worker process exited with code {process.exitcode} "
-                "without reporting a result",
-                pending,
-                attempts,
-                by_shard,
-            )
 
     # ------------------------------------------------------------------ #
     # Merge

@@ -264,11 +264,8 @@ class ShardEngine:
             rewritten records into the journal, when one is attached).
         on_measure: Optional hook invoked after every measurement event with
             ``(at, freshness, quality)`` — the shard coordinator uses it to
-            stream per-window results over its queue. ``quality`` is ``None``
-            when quality tracking is off.
-        view: Optional :class:`ShardView` this engine operates on (``None``
-            for the monolithic crawler); carried for introspection and
-            progress labels, never consulted by the loop itself.
+            stream per-window results to its coordinator. ``quality`` is
+            ``None`` when quality tracking is off.
     """
 
     def __init__(
@@ -283,7 +280,6 @@ class ShardEngine:
         sample_quality: Optional[Callable[[float], Optional[float]]] = None,
         refresh_journal: Optional[Callable[[], None]] = None,
         on_measure: Optional[Callable[[float, float, Optional[float]], None]] = None,
-        view: Optional[ShardView] = None,
     ) -> None:
         if crawl_budget_per_day <= 0:
             raise ValueError("crawl_budget_per_day must be positive")
@@ -296,7 +292,6 @@ class ShardEngine:
         self._sample_quality = sample_quality
         self._refresh_journal = refresh_journal
         self.on_measure = on_measure
-        self.view = view
 
     def run(
         self,

@@ -28,6 +28,8 @@ keyword vocabulary is code-addressed), same out-links in the same order.
 from __future__ import annotations
 
 import ctypes
+import multiprocessing
+import os
 import signal
 import sys
 from dataclasses import dataclass
@@ -69,10 +71,12 @@ class _SharedChangeProcess(ChangeProcess):
 def install_parent_death_signal() -> None:
     """Ask the kernel to SIGKILL this process when its parent dies.
 
-    Worker processes of a sharded crawl call this first. Without it, a
+    Pool workers (:mod:`repro.workers`) call this first. Without it, a
     SIGKILLed coordinator (the crash-resume smoke test does exactly that)
     leaves orphan workers running, and a resumed run would race them for
-    the per-shard stores. Linux-only; a silent no-op elsewhere.
+    the per-shard stores. The kernel only honours a parent death *after*
+    the request, so a process already orphaned exits at once instead.
+    Linux-only; a silent no-op elsewhere.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -82,6 +86,9 @@ def install_parent_death_signal() -> None:
         libc.prctl(PR_SET_PDEATHSIG, int(signal.SIGKILL))
     except Exception:  # pragma: no cover - best-effort hardening
         pass
+    parent = multiprocessing.parent_process()
+    if parent is not None and os.getppid() != parent.pid:
+        os._exit(1)
 
 
 def attach_shared_block(name: str) -> shared_memory.SharedMemory:
@@ -184,6 +191,17 @@ class SharedWebPayload:
         web._oracle_arrays = oracle
         web._shared_handles = (oracle_shm, extras_shm)
         return web
+
+
+_ATTACHED: Dict[str, SimulatedWeb] = {}
+
+
+def attach_web(payload: SharedWebPayload) -> SimulatedWeb:
+    """``payload.materialise()``, once per shared web in this process, so a
+    pool worker serving several jobs over one web attaches it once."""
+    if payload.oracle_block not in _ATTACHED:
+        _ATTACHED[payload.oracle_block] = payload.materialise()
+    return _ATTACHED[payload.oracle_block]
 
 
 class SharedWeb:

@@ -13,6 +13,7 @@ guarantees the engine relies on.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from repro.storage.checkpoint import (
     CrawlCheckpointer,
     checkpoint_integrity,
 )
+from repro.workers import reap
 
 WEB_CONFIG = WebGeneratorConfig(
     site_scale=0.03,
@@ -667,11 +669,10 @@ class TestCheckpointIntegrity:
 
 
 class FakeProcess:
-    """Stand-in for multiprocessing.Process in coordinator unit tests."""
+    """Stand-in for multiprocessing.Process in reap tests."""
 
-    def __init__(self, alive=False, exitcode=0, stuck_joins=0):
+    def __init__(self, alive=False, stuck_joins=0):
         self._alive = alive
-        self.exitcode = exitcode
         self._stuck_joins = stuck_joins
         self.joins = 0
         self.terminated = False
@@ -699,10 +700,10 @@ def _coordinator(web, **kwargs):
     return ShardedCrawler(web, config, shards=2, **kwargs)
 
 
-def _job(resume=False):
+def _job(index=0):
     return ShardRunSpec(
         payload=None,
-        view=None,
+        view=SimpleNamespace(index=index),
         config=None,
         duration_days=1.0,
         start_time=0.0,
@@ -710,72 +711,63 @@ def _job(resume=False):
         store_path="unused",
         checkpoint_every=1.0,
         spec_hash=None,
-        resume=resume,
+        resume=False,
+    )
+
+
+def _persistent_coordinator(web, tmp_path, worker_retries):
+    return _coordinator(
+        web,
+        storage="sqlite",
+        store_path=str(tmp_path / "store.db"),
+        checkpoint_every=1.0,
+        worker_retries=worker_retries,
     )
 
 
 class TestShardedWorkerFailure:
-    def test_reap_escalates_from_join_to_terminate(self, tiny_web):
-        coordinator = _coordinator(tiny_web)
-        coordinator.JOIN_TIMEOUT_SECONDS = 0.01
+    """The shard coordinator's ``on_lost`` policy on the worker pool."""
+
+    def test_reap_escalates_from_join_to_terminate(self):
         process = FakeProcess(alive=True, stuck_joins=1)
-        coordinator._reap(process)
+        reap(process, timeout=0.01)
         assert process.terminated
+        assert not process.killed
         assert not process.is_alive()
 
     def test_failure_without_persistence_is_fatal(self, tiny_web):
         coordinator = _coordinator(tiny_web)
-        assert not coordinator._can_recover_workers()
         with pytest.raises(RuntimeError, match=r"(?s)shard 1 worker failed.*boom"):
-            coordinator._handle_worker_failure(1, "boom", [], {1: 0}, {1: _job()})
+            coordinator._requeue(_job(1), "boom")
 
     def test_failure_with_persistence_requeues_with_resume(self, tiny_web, tmp_path):
-        coordinator = _coordinator(
-            tiny_web,
-            storage="sqlite",
-            store_path=str(tmp_path / "store.db"),
-            checkpoint_every=1.0,
-            worker_retries=2,
-        )
-        assert coordinator._can_recover_workers()
-        pending, attempts, by_shard = [], {0: 0}, {0: _job()}
-        coordinator._handle_worker_failure(0, "killed", pending, attempts, by_shard)
-        assert attempts[0] == 1
-        assert len(pending) == 1
-        assert pending[0].resume is True
-        coordinator._handle_worker_failure(0, "killed", pending, attempts, by_shard)
-        assert attempts[0] == 2
+        coordinator = _persistent_coordinator(tiny_web, tmp_path, worker_retries=2)
+        first = coordinator._requeue(_job(), "killed")
+        assert (first.attempt, first.resume) == (1, True)
+        second = coordinator._requeue(first, "killed")
+        assert (second.attempt, second.resume) == (2, True)
         with pytest.raises(RuntimeError, match="retries exhausted"):
-            coordinator._handle_worker_failure(0, "killed", pending, attempts, by_shard)
+            coordinator._requeue(second, "killed")
 
     def test_zero_worker_retries_disables_recovery(self, tiny_web, tmp_path):
-        coordinator = _coordinator(
-            tiny_web,
-            storage="sqlite",
-            store_path=str(tmp_path / "store.db"),
-            checkpoint_every=1.0,
-            worker_retries=0,
-        )
-        assert not coordinator._can_recover_workers()
+        coordinator = _persistent_coordinator(tiny_web, tmp_path, worker_retries=0)
+        with pytest.raises(RuntimeError, match="retries exhausted"):
+            coordinator._requeue(_job(), "killed")
 
-    def test_silent_worker_death_is_detected(self, tiny_web):
+    def test_silent_worker_death_is_detected(self, drive_pool):
         """A worker that exits (even with code 0) without a result must not
-        hang the coordinator: _check_workers feeds the retry-or-raise path."""
-        coordinator = _coordinator(tiny_web)
-        running = {1: FakeProcess(alive=False, exitcode=0)}
-        with pytest.raises(RuntimeError, match="exited with code 0"):
-            coordinator._check_workers(running, {}, [], {1: 0}, {1: _job()})
-        assert not running  # the dead worker was removed either way
+        hang the coordinator: the pool reports the job lost at once."""
+        report = drive_pool("exit-zero")
+        assert "shard 1 worker failed" in report["error"]
+        assert "exited with code 0" in report["error"]
+        assert report["children"] == 0
 
-    def test_live_or_reported_workers_are_left_alone(self, tiny_web):
-        coordinator = _coordinator(tiny_web)
-        alive = FakeProcess(alive=True)
-        reported = FakeProcess(alive=False, exitcode=0)
-        running = {0: alive, 1: reported}
-        coordinator._check_workers(
-            running, {1: {"payload": True}}, [], {0: 0, 1: 0}, {}
-        )
-        assert running == {0: alive, 1: reported}
+    def test_live_or_reported_workers_are_left_alone(self, drive_pool):
+        """Workers that replied are reused or retired, never reported lost."""
+        report = drive_pool("clean")
+        assert report["results"] == {str(k): 2 * k for k in range(5)}
+        assert report["messages"] == list(range(5))
+        assert report["children"] == 0
 
     def test_negative_worker_retries_rejected(self, tiny_web):
         with pytest.raises(ValueError, match="worker_retries"):
